@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -83,6 +84,38 @@ func BenchmarkSubFolkloreSweep(b *testing.B) {
 		}
 		if plans[len(plans)-1].Ratio >= 1 {
 			b.Fatalf("sweep did not go sub-folklore")
+		}
+	}
+}
+
+// BenchmarkBestPlan times the construction planner alone: the j sweep,
+// each grid's class-count optimum and the winner's quota table.
+func BenchmarkBestPlan(b *testing.B) {
+	for _, d := range []int{18, 22, 24} {
+		b.Run(fmt.Sprintf("logn=%d", d), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if p := mustPlanB(b, 1<<d); p.Ratio >= 1 {
+					b.Fatalf("log n=%d: ratio %.4f did not go sub-folklore", d, p.Ratio)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkButterflyBisectionReport times the serve path of a constructed
+// bn row: planner plus virtual evaluation, no exact or heuristic solve and
+// so no graph.
+func BenchmarkButterflyBisectionReport(b *testing.B) {
+	const n = 1 << 17
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := core.ButterflyBisection(n, core.BisectionBudget{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Constructed >= n || r.Heuristic != core.Unknown {
+			b.Fatalf("B%d: constructed %d, heuristic %d", n, r.Constructed, r.Heuristic)
 		}
 	}
 }

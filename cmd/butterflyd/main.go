@@ -36,6 +36,14 @@
 // cut-through (ct). A query whose every trial exhausts the 64·N step
 // limit answers 422 instead of looping.
 //
+// Solver pools (-inflight, -precompute-workers and every engine's worker
+// goroutines) default to the CPU count. On a machine with at least two
+// CPUs and the default GOMAXPROCS, the daemon runs with one P more than
+// it has CPUs, so a cache hit's connection is served while every CPU
+// runs a solve instead of waiting for the runtime's periodic network
+// poll. Two concurrent solves whose engines each start a full pool can
+// still occupy that P.
+//
 // SIGINT/SIGTERM drain gracefully: in-flight solves are signalled to
 // wind down, their handlers return best-so-far results marked non-exact
 // (complete=false in the response's serve table), and the process exits
@@ -86,6 +94,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -111,9 +120,20 @@ func splitPeers(s string) []string {
 	return out
 }
 
+// reserveHTTPProc raises GOMAXPROCS by one on a machine with at least two
+// CPUs, unless GOMAXPROCS was set to something other than the CPU count.
+// Solver pools are sized by solve.Workers, which never counts that P, so
+// it stays free for net/http. On one CPU the extra P only adds
+// preemption between the hits and the one solve.
+func reserveHTTPProc() {
+	if cpus := runtime.NumCPU(); cpus >= 2 && runtime.GOMAXPROCS(0) == cpus {
+		runtime.GOMAXPROCS(cpus + 1)
+	}
+}
+
 func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address")
-	inflight := flag.Int("inflight", 0, "max concurrent solves (0 = GOMAXPROCS)")
+	inflight := flag.Int("inflight", 0, "max concurrent solves (0 = CPU count)")
 	queue := flag.Int("queue", 0, "max requests waiting for a solve slot before 429 (0 = 4×inflight)")
 	queueWait := flag.Duration("queue-wait", 2*time.Second, "max time a queued request waits for a slot before 503")
 	defaultTimeout := flag.Duration("default-timeout", 10*time.Second, "solve budget when the request names none")
@@ -123,7 +143,7 @@ func main() {
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 	storeDir := flag.String("store", "", "persistent result store directory (spill, warm start, precompute)")
 	precompute := flag.String("precompute", "", "batch-fill the store for this grid (network:loglo-loghi[:exact-nodes],...) and exit")
-	precomputeWorkers := flag.Int("precompute-workers", 0, "parallel solves during -precompute (0 = GOMAXPROCS)")
+	precomputeWorkers := flag.Int("precompute-workers", 0, "parallel solves during -precompute (0 = CPU count)")
 	tracePath := flag.String("trace", "", "write request and solver trace events (JSONL) to this path")
 	accessLogPath := flag.String("access-log", "", "append one JSON line per query request to this path (\"-\" = stderr)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof + /debug/metrics on this extra address")
@@ -142,6 +162,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "butterflyd: -precompute requires -store")
 		os.Exit(2)
 	}
+	reserveHTTPProc()
 	peerList := splitPeers(*peers)
 	if *coordinator && len(peerList) == 0 {
 		fmt.Fprintln(os.Stderr, "butterflyd: -coordinator requires -peers")

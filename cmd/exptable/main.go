@@ -32,7 +32,7 @@ func main() {
 	maxD := flag.Int("max-d", 4, "largest witness sub-butterfly dimension")
 	exactNodes := flag.Int("exact-nodes", 32, "exact enumeration budget (node count)")
 	kmax := flag.Int("kmax", 8, "largest set size certified by the exact engine")
-	workers := flag.Int("workers", 0, "exact-engine worker goroutines (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "exact-engine worker goroutines (0 = CPU count)")
 	long := cli.RegisterLongRun()
 	out := cli.RegisterOutput()
 	flag.Parse()

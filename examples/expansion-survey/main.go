@@ -8,13 +8,13 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/cut"
 	"repro/internal/exact"
 	"repro/internal/expansion"
 	"repro/internal/heuristic"
+	"repro/internal/solve"
 	"repro/internal/topology"
 )
 
@@ -49,7 +49,7 @@ func main() {
 		NodeSeed: nodeSeed,
 	})
 	fmt.Printf("exact EE/NE(W16,k) for k=%v on %d workers in %v\n",
-		ks, runtime.GOMAXPROCS(0), time.Since(start).Round(time.Millisecond))
+		ks, solve.Workers(0), time.Since(start).Round(time.Millisecond))
 
 	fmt.Println("\nEE(Wn,k): the (4±o(1))k/log k band (Lemmas 4.1–4.2)")
 	for _, r := range results {

@@ -60,7 +60,7 @@ type nodeSearch struct {
 // NewNode builds a peer. local is the node's serve mux for forwarded
 // queries (nil rejects them); tr, when non-nil, carries push-gossip of
 // local incumbent improvements back to each search's coordinator;
-// workers bounds one shard batch's search goroutines (≤0: GOMAXPROCS).
+// workers bounds one shard batch's search goroutines (≤0: solve.Workers).
 func NewNode(addr string, local http.Handler, tr Transport, workers int) *Node {
 	return &Node{
 		addr:     addr,

@@ -21,12 +21,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"repro/internal/bitutil"
 	"repro/internal/cut"
 	"repro/internal/obs"
+	"repro/internal/solve"
 	"repro/internal/topology"
 )
 
@@ -103,72 +103,130 @@ func (p *Plan) cols() int { return p.N / (p.J * p.J) }
 // PlanButterflyBisection computes, for the given n and j, the cheapest plan
 // over all class counts (a,b): base cost a(j−b)+(j−a)b groups for the mixed
 // components plus 2 groups per both-type component that must be flipped
-// (wholly or partially) to reach exact balance. It returns false when the
-// parameters are structurally invalid (j² > n or 2·log j > log n).
+// (wholly or partially) to reach exact balance. Ties go to the smallest a,
+// then the smallest b. It returns false when the parameters are
+// structurally invalid (j² > n or 2·log j > log n).
 func PlanButterflyBisection(n, j int) (*Plan, bool) {
-	if !bitutil.IsPow2(n) || !bitutil.IsPow2(j) || j < 2 {
+	g, ok := newPlanGrid(n, j)
+	if !ok {
 		return nil, false
+	}
+	groups, a, b, ok := g.best()
+	if !ok {
+		return nil, false
+	}
+	return g.plan(groups, a, b), true
+}
+
+// planGrid holds the constants of one (n, j) class grid that the (a,b)
+// optimizer needs.
+type planGrid struct {
+	n, d, j, lj int
+	compSize    int // nodes per middle component
+	half        int // N/2
+	regionA     int // side-A nodes contributed per class chosen in the top (or bottom) region
+}
+
+func newPlanGrid(n, j int) (planGrid, bool) {
+	if !bitutil.IsPow2(n) || !bitutil.IsPow2(j) || j < 2 {
+		return planGrid{}, false
 	}
 	d := bitutil.Log2(n)
 	if d > 48 { // n·(log n + 1) must stay well inside int64
-		return nil, false
+		return planGrid{}, false
 	}
 	lj := bitutil.Log2(j)
 	if j*j > n || 2*lj > d {
-		return nil, false
+		return planGrid{}, false
 	}
-	cols := n / (j * j)
-	compSize := cols * (d - 2*lj + 1)
-	half := n * (d + 1) / 2
-	regionA := n * lj / j // side-A nodes contributed per class chosen in the top (or bottom) region
+	return planGrid{
+		n: n, d: d, j: j, lj: lj,
+		compSize: n / (j * j) * (d - 2*lj + 1),
+		half:     n * (d + 1) / 2,
+		regionA:  n * lj / j,
+	}, true
+}
 
-	best := -1
-	bestA, bestB := 0, 0
-	for a := 0; a <= j; a++ {
-		for b := 0; b <= j; b++ {
-			bothA := a * b
-			bothBar := (j - a) * (j - b)
-			mixed := j*j - bothA - bothBar
-			targetM := half - (a+b)*regionA
-			if targetM < 0 || targetM > j*j*compSize {
-				continue
-			}
-			low := bothA * compSize
-			high := low + mixed*compSize
-			groups := mixed
-			switch {
-			case targetM < low:
-				flips := ceilDiv(low-targetM, compSize)
-				if flips > bothA {
-					continue
-				}
-				groups += 2 * flips
-			case targetM > high:
-				flips := ceilDiv(targetM-high, compSize)
-				if flips > bothBar {
-					continue
-				}
-				groups += 2 * flips
-			}
-			if best < 0 || groups < best {
-				best, bestA, bestB = groups, a, b
+// groups returns the cost in edge groups of class counts (a,b), or false
+// when the middle region cannot absorb the balance. A flip count never
+// exceeds its pool of both-type components once the middle target lies in
+// [0, j²·compSize], so that range is the whole feasibility test.
+func (g planGrid) groups(a, b int) (int, bool) {
+	j, c := g.j, g.compSize
+	targetM := g.half - (a+b)*g.regionA
+	if targetM < 0 || targetM > j*j*c {
+		return 0, false
+	}
+	low := a * b * c                // every both-A component in A
+	high := (j*j - (j-a)*(j-b)) * c // and every mixed one too
+	mixed := a*(j-b) + (j-a)*b
+	switch {
+	case targetM < low:
+		return mixed + 2*ceilDiv(low-targetM, c), true
+	case targetM > high:
+		return mixed + 2*ceilDiv(targetM-high, c), true
+	}
+	return mixed, true
+}
+
+// best returns the cheapest class counts in O(j): the same (a,b) as a scan
+// of all (j+1)² pairs in order, keeping the first strict minimum.
+//
+// For fixed a the middle target T(b) = half − (a+b)·regionA falls with b,
+// while the both-A fill low(b) and the mixed fill high(b) ≥ low(b) rise.
+// So b runs through three ranges:
+//   - T > high: the cost falls by at least j per step (two groups per flip,
+//     the flips shrink by ≥ j−a, and mixed grows by j−2a);
+//   - T in [low, high]: the cost is mixed, linear in b;
+//   - T < low: the cost rises by at least j per step.
+//
+// The first minimizer is therefore an end point of one range clipped to the
+// feasible b, and each end point is a closed form.
+func (g planGrid) best() (groups, a, b int, ok bool) {
+	j, c, r := g.j, g.compSize, g.regionA
+	groups = -1
+	for ca := 0; ca <= j; ca++ {
+		base := g.half - ca*r                // T(b) = base − b·r
+		lo := max(0, ceilDiv(base-j*j*c, r)) // first b with T ≤ j²·compSize
+		hi := min(j, floorDiv(base, r))      // last b with T ≥ 0
+		if lo > hi {
+			continue
+		}
+		r2 := ceilDiv(base-ca*j*c, r+(j-ca)*c) // first b with T ≤ high
+		r3 := floorDiv(base, ca*c+r) + 1       // first b with T < low
+		bestG, bestB := -1, 0
+		for _, cb := range [...]int{lo, r2 - 1, r2, r3 - 1, r3, hi} {
+			cb = min(max(cb, lo), hi)
+			gr, feasible := g.groups(ca, cb)
+			if feasible && (bestG < 0 || gr < bestG || gr == bestG && cb < bestB) {
+				bestG, bestB = gr, cb
 			}
 		}
+		if bestG >= 0 && (groups < 0 || bestG < groups) {
+			groups, a, b = bestG, ca, bestB
+		}
 	}
-	if best < 0 {
-		return nil, false
-	}
+	return groups, a, b, groups >= 0
+}
+
+// plan returns the plan with class counts (a,b) at the given cost, with its
+// per-component quotas assigned.
+func (g planGrid) plan(groups, a, b int) *Plan {
+	cols := g.n / (g.j * g.j)
 	p := &Plan{
-		N: n, Dim: d, J: j, LogJ: lj, A: bestA, B: bestB,
-		Groups: best, GroupEdges: 2 * cols, Capacity: best * 2 * cols,
-		Ratio: float64(best*2*cols) / float64(n),
+		N: g.n, Dim: g.d, J: g.j, LogJ: g.lj, A: a, B: b,
+		Groups: groups, GroupEdges: 2 * cols, Capacity: groups * 2 * cols,
+		Ratio: float64(groups*2*cols) / float64(g.n),
 	}
 	p.assignQuotas()
-	return p, true
+	return p
 }
 
 // assignQuotas distributes the side-A middle nodes over the components so
-// that the plan is an exact bisection at the predicted capacity.
+// that the plan is an exact bisection at the predicted capacity. Component
+// (pc, sc), id pc·j + sc, is both-A when sc < A and pc < B, both-Ā when
+// sc ≥ A and pc ≥ B, and mixed otherwise; each kind is visited in id order.
+// The quota slice is the only allocation.
 func (p *Plan) assignQuotas() {
 	j := p.J
 	compSize := p.CompSize()
@@ -176,60 +234,40 @@ func (p *Plan) assignQuotas() {
 	regionA := p.N * p.LogJ / p.J
 	targetM := half - (p.A+p.B)*regionA
 
+	// Canonical placement: both-A components fully in A, then the mixed
+	// components filled from their A-adjacent end while side A is short.
 	p.quotas = make([]compQuota, j*j)
-	type compRef struct{ pCls, sCls int }
-	var bothA, bothBar, mixed []compRef
+	rem := targetM - p.A*p.B*compSize
 	for pc := 0; pc < j; pc++ {
 		for sc := 0; sc < j; sc++ {
-			ref := compRef{pc, sc}
+			q := &p.quotas[pc*j+sc]
 			switch {
 			case sc < p.A && pc < p.B:
-				bothA = append(bothA, ref)
+				*q = compQuota{KA: compSize, TopInA: true}
 			case sc >= p.A && pc >= p.B:
-				bothBar = append(bothBar, ref)
 			default:
-				mixed = append(mixed, ref)
+				q.TopInA = sc < p.A
+				if rem > 0 {
+					q.KA = min(rem, compSize)
+					rem -= q.KA
+				}
 			}
 		}
 	}
-	idx := func(r compRef) int { return r.pCls*j + r.sCls }
-
-	// Canonical placement: both-A components fully in A.
-	for _, r := range bothA {
-		p.quotas[idx(r)] = compQuota{KA: compSize, TopInA: true}
-	}
-	rem := targetM - len(bothA)*compSize
-	if rem >= 0 {
-		// Fill mixed components (A-adjacent end first), then flip both-Ā
-		// components if the mixed pool is not enough.
-		for _, r := range mixed {
+	// Still short: flip both-Ā components into A. Too many side-A nodes
+	// already: drain both-A components.
+	for id := 0; id < j*j && rem != 0; id++ {
+		pc, sc := id/j, id%j
+		switch {
+		case rem > 0 && sc >= p.A && pc >= p.B:
 			take := min(rem, compSize)
-			p.quotas[idx(r)] = compQuota{KA: take, TopInA: r.sCls < p.A}
+			p.quotas[id] = compQuota{KA: take, TopInA: true}
 			rem -= take
+		case rem < 0 && sc < p.A && pc < p.B:
+			take := min(-rem, compSize)
+			p.quotas[id].KA = compSize - take
+			rem += take
 		}
-		for _, r := range bothBar {
-			if rem == 0 {
-				break
-			}
-			take := min(rem, compSize)
-			p.quotas[idx(r)] = compQuota{KA: take, TopInA: true}
-			rem -= take
-		}
-	} else {
-		// Too many side-A nodes already: drain both-A components.
-		deficit := -rem
-		for _, r := range mixed {
-			p.quotas[idx(r)] = compQuota{KA: 0, TopInA: r.sCls < p.A}
-		}
-		for _, r := range bothA {
-			if deficit == 0 {
-				break
-			}
-			take := min(deficit, compSize)
-			p.quotas[idx(r)] = compQuota{KA: compSize - take, TopInA: true}
-			deficit -= take
-		}
-		rem = 0
 	}
 	if rem != 0 {
 		panic(fmt.Sprintf("construct: plan balance infeasible (rem=%d); PlanButterflyBisection should have rejected it", rem))
@@ -271,6 +309,27 @@ func (p *Plan) Build(b *topology.Butterfly) *cut.Cut {
 	return cut.New(b.Graph, side)
 }
 
+// BuiltBisectionCapacity materializes the plan on b and certifies it is an
+// exact bisection, returning the cut's capacity. An unbalanced plan yields
+// the same error as VirtualBisectionCapacity.
+func (p *Plan) BuiltBisectionCapacity(b *topology.Butterfly) (int, error) {
+	c := p.Build(b)
+	if err := p.checkBisection(c.SizeS()); err != nil {
+		return 0, err
+	}
+	return c.Capacity(), nil
+}
+
+// checkBisection reports a construction bug: a side A of sizeA nodes that
+// is not exactly half of Bn.
+func (p *Plan) checkBisection(sizeA int) error {
+	if nodes := p.N * (p.Dim + 1); sizeA != nodes/2 {
+		return fmt.Errorf("construct: plan for n=%d is not a bisection: |A|=%d, want N/2=%d",
+			p.N, sizeA, nodes/2)
+	}
+	return nil
+}
+
 // EvaluateVirtual measures the plan on a virtual Bn without materializing
 // the graph: it streams over all 2n·log n edges and N nodes, returning the
 // measured capacity and the size of side A. It lets the experiments verify
@@ -300,9 +359,9 @@ func (p *Plan) EvaluateVirtual() (capacity, sizeA int) {
 	return capacity, sizeA
 }
 
-// maxPlanJ caps the class-grid sweep: the optimizer is O(j²) per candidate
-// and plans with log j anywhere near log n / 2 have no middle region to
-// balance through, so they are never optimal.
+// maxPlanJ caps the class-grid sweep: plans with log j anywhere near
+// log n / 2 have no middle region to balance through, so they are never
+// optimal, and a plan's quota table has j² entries.
 const maxPlanJ = 4096
 
 // EvaluateVirtualParallel is EvaluateVirtual with the edge stream
@@ -333,9 +392,7 @@ func (p *Plan) EvaluateVirtualParallelCtx(ctx context.Context, workers int) (cap
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = solve.Workers(workers)
 	if p.wordEligible() {
 		capacity, sizeA, err = p.evaluateWords(ctx, workers)
 		metricVirtualEvals.Inc()
@@ -414,35 +471,40 @@ func (p *Plan) VirtualBisectionCapacity(ctx context.Context, workers int) (int, 
 	if err != nil {
 		return 0, err
 	}
-	nodes := p.N * (p.Dim + 1)
-	if sizeA != nodes/2 {
-		return 0, fmt.Errorf("construct: virtual plan for n=%d is not a bisection: |A|=%d, want N/2=%d",
-			p.N, sizeA, nodes/2)
+	if err := p.checkBisection(sizeA); err != nil {
+		return 0, err
 	}
 	return capacity, nil
 }
 
 // BestPlan sweeps j over the valid powers of two and returns the cheapest
-// plan for an n-column butterfly. For small n it returns the folklore
-// column cut expressed as a plan (j = 2); the capacity drops below n once
-// log n is large enough for a finer class grid. When no class grid fits —
-// n below 4, not a power of two, or beyond the log n ≤ 48 plan range — it
-// returns an error instead of the panic this path used to take.
+// plan for an n-column butterfly; ties go to the smaller j. Candidates are
+// scored by their group count alone and only the winner's quotas are
+// assigned. For small n it returns the folklore column cut expressed as a
+// plan (j = 2); the capacity drops below n once log n is large enough for a
+// finer class grid. When no class grid fits — n below 4, not a power of
+// two, or beyond the log n ≤ 48 plan range — it returns an error instead
+// of the panic this path used to take.
 func BestPlan(n int) (*Plan, error) {
-	var best *Plan
+	var best planGrid
+	bestCap, bestGroups, bestA, bestB := -1, 0, 0, 0
 	for j := 2; j*j <= n && j <= maxPlanJ; j *= 2 {
-		p, ok := PlanButterflyBisection(n, j)
+		g, ok := newPlanGrid(n, j)
 		if !ok {
 			continue
 		}
-		if best == nil || p.Capacity < best.Capacity {
-			best = p
+		groups, a, b, ok := g.best()
+		if !ok {
+			continue
+		}
+		if capacity := groups * 2 * (n / (j * j)); bestCap < 0 || capacity < bestCap {
+			best, bestCap, bestGroups, bestA, bestB = g, capacity, groups, a, b
 		}
 	}
-	if best == nil {
+	if bestCap < 0 {
 		return nil, fmt.Errorf("construct: no valid bisection plan for n=%d (need a power of two with 4 ≤ n ≤ 2^48)", n)
 	}
-	return best, nil
+	return best.plan(bestGroups, bestA, bestB), nil
 }
 
 // TheoreticalRatio is the Theorem 2.20 limit 2(√2−1) ≈ 0.828 that the plan
@@ -465,11 +527,14 @@ func Lemma216Ratio(j, mosCapacity int) float64 {
 // DESIGN.md §2).
 func Lemma216MinLogN(j int) int { return j*j*j + 2*j - 1 }
 
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func min(a, b int) int {
-	if a < b {
-		return a
+// floorDiv is ⌊a/b⌋ for b > 0 and a of either sign.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
 	}
-	return b
+	return q
 }
+
+// ceilDiv is ⌈a/b⌉ for b > 0 and a of either sign.
+func ceilDiv(a, b int) int { return -floorDiv(-a, b) }

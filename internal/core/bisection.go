@@ -61,11 +61,6 @@ type BisectionBudget struct {
 	// HeuristicNodes is the largest node count for heuristic search
 	// (default 16384; 0 disables).
 	HeuristicNodes int
-	// MaterializeNodes is the largest node count for which the butterfly
-	// graph is built; beyond it, constructed cuts are evaluated virtually
-	// (default 1<<22).
-	MaterializeNodes int
-
 	// Ctx cancels the expensive solves: exact searches return their best
 	// incumbent with ExactComplete false, heuristic refinement stops at
 	// the current pass, and virtual plan evaluation falls back to the
@@ -115,17 +110,16 @@ func (b BisectionBudget) withDefaults() BisectionBudget {
 	if b.HeuristicNodes == 0 {
 		b.HeuristicNodes = 16384
 	}
-	if b.MaterializeNodes == 0 {
-		b.MaterializeNodes = 1 << 22
-	}
 	return b
 }
 
-// ButterflyBisection analyzes BW(Bn) (experiment E2, Theorem 2.20). A
+// ButterflyBisection analyzes BW(Bn) (experiment E2, Theorem 2.20). Bn is
+// built only for the exact and heuristic solvers; without them the
+// constructed capacity comes from evaluating the plan virtually. A
 // cancelled budget.Ctx degrades gracefully — incumbents instead of optima,
 // the plan's predicted capacity instead of the virtually verified one — and
-// the only error is a genuinely unbalanced virtual plan (a construction
-// bug, previously a panic).
+// the only error is a genuinely unbalanced plan (a construction bug,
+// previously a panic).
 func ButterflyBisection(n int, budget BisectionBudget) (BisectionReport, error) {
 	budget = budget.withDefaults()
 	d := log2(n)
@@ -141,54 +135,62 @@ func ButterflyBisection(n int, budget BisectionBudget) (BisectionReport, error) 
 		TheoryLabel: "2(√2−1)n + o(n) (Thm 2.20)",
 	}
 
-	if nodes <= budget.MaterializeNodes {
-		b := topology.NewButterfly(n)
-		if n >= 4 {
-			plan, err := construct.BestPlan(n)
-			if err != nil {
-				return rep, fmt.Errorf("core: B%d bisection report: %w", n, err)
-			}
-			rep.Constructed = plan.Build(b).Capacity()
-		} else {
-			// B2 is too small for the class-grid plan; the folklore column
-			// cut is the construction.
-			rep.Constructed = construct.ColumnBisection(b).Capacity()
-		}
-		if nodes <= budget.ExactNodes {
-			rep.recordSolve(exact.SolveBisection(budget.Ctx, b.Graph, budget.solveOptions("bisection "+rep.Network, rep.Constructed)))
-		}
-		if nodes <= budget.HeuristicNodes {
-			h := heuristic.BisectParallel(b.Graph, budget.bisectOptions("bisection "+rep.Network))
-			rep.Heuristic = h.Capacity()
-		}
-		if nodes <= budget.ExactNodes {
-			// Recompute the embedding-based bound exactly rather than
-			// quoting n/2.
-			e := embed.DoubledCompleteIntoButterfly(b)
-			rep.LowerBound = e.BisectionLowerBound(embed.DoubledCompleteBisectionWidth(nodes))
-		}
-	} else {
-		plan, err := construct.BestPlan(n)
-		if err != nil {
-			return rep, fmt.Errorf("core: B%d bisection report: %w", n, err)
-		}
-		ctx := budget.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		capacity, err := plan.VirtualBisectionCapacity(ctx, 0)
-		switch {
-		case err == nil:
-			rep.Constructed = capacity
-		case ctx.Err() != nil:
-			// Cancelled mid-evaluation: quote the plan's analytic capacity
-			// (exact by construction, just not re-verified node by node).
-			rep.Constructed = plan.Capacity
-		default:
-			return rep, fmt.Errorf("core: B%d bisection report: %w", n, err)
-		}
+	solveExact := nodes <= budget.ExactNodes
+	solveHeuristic := nodes <= budget.HeuristicNodes
+	var b *topology.Butterfly
+	if solveExact || solveHeuristic || n < 4 {
+		b = topology.NewButterfly(n)
+	}
+	if err := rep.setConstructed(budget.Ctx, n, b); err != nil {
+		return rep, fmt.Errorf("core: B%d bisection report: %w", n, err)
+	}
+	if solveExact {
+		rep.recordSolve(exact.SolveBisection(budget.Ctx, b.Graph, budget.solveOptions("bisection "+rep.Network, rep.Constructed)))
+	}
+	if solveHeuristic {
+		h := heuristic.BisectParallel(b.Graph, budget.bisectOptions("bisection "+rep.Network))
+		rep.Heuristic = h.Capacity()
+	}
+	if solveExact {
+		// Recompute the embedding-based bound exactly rather than quoting
+		// n/2.
+		e := embed.DoubledCompleteIntoButterfly(b)
+		rep.LowerBound = e.BisectionLowerBound(embed.DoubledCompleteBisectionWidth(nodes))
 	}
 	return rep, nil
+}
+
+// setConstructed sets the report's constructed capacity: the folklore column
+// cut on B2, too small for a class grid, and the best sub-n plan beyond it
+// — measured on b when the solvers built it, virtually otherwise.
+func (r *BisectionReport) setConstructed(ctx context.Context, n int, b *topology.Butterfly) error {
+	if n < 4 {
+		r.Constructed = construct.ColumnBisection(b).Capacity()
+		return nil
+	}
+	plan, err := construct.BestPlan(n)
+	if err != nil {
+		return err
+	}
+	if b != nil {
+		r.Constructed, err = plan.BuiltBisectionCapacity(b)
+		return err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	capacity, err := plan.VirtualBisectionCapacity(ctx, 0)
+	switch {
+	case err == nil:
+		r.Constructed = capacity
+	case ctx.Err() != nil:
+		// Cancelled mid-evaluation: quote the plan's analytic capacity
+		// (exact by construction, just not re-verified node by node).
+		r.Constructed = plan.Capacity
+	default:
+		return err
+	}
+	return nil
 }
 
 // WrappedBisection analyzes BW(Wn) = n (experiment E4, Lemma 3.2).

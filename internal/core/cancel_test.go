@@ -35,18 +35,18 @@ func TestButterflyBisectionCancelledExactIsIncumbent(t *testing.T) {
 }
 
 func TestButterflyBisectionCancelledVirtualFallsBack(t *testing.T) {
-	// Beyond the materialization budget with a dead context, the report
+	// Beyond the solver budgets with a dead context, the report
 	// quotes the plan's analytic capacity rather than erroring: -timeout
 	// runs must exit cleanly.
 	start := time.Now()
-	r, err := ButterflyBisection(1<<15, BisectionBudget{MaterializeNodes: 1000, Ctx: cancelledCtx()})
+	r, err := ButterflyBisection(1<<15, BisectionBudget{Ctx: cancelledCtx()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took > 5*time.Second {
 		t.Fatalf("cancelled virtual report took %v", took)
 	}
-	live, err := ButterflyBisection(1<<15, BisectionBudget{MaterializeNodes: 1000})
+	live, err := ButterflyBisection(1<<15, BisectionBudget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,9 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/construct"
+	"repro/internal/topology"
 )
 
 func TestButterflyBisectionSmall(t *testing.T) {
@@ -49,9 +52,9 @@ func TestButterflyBisectionExactB8(t *testing.T) {
 }
 
 func TestButterflyBisectionVirtualLarge(t *testing.T) {
-	// Beyond the materialization budget, the constructed capacity comes
-	// from the virtual evaluator and beats folklore at large sizes.
-	r, err := ButterflyBisection(1<<15, BisectionBudget{MaterializeNodes: 1000})
+	// Beyond the solver budgets, the constructed capacity comes from the
+	// virtual evaluator and beats folklore at large sizes.
+	r, err := ButterflyBisection(1<<15, BisectionBudget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,5 +252,25 @@ func TestRoutingExperiments(t *testing.T) {
 	out := RenderRoutingTable("routing", []RoutingReport{r, p})
 	if !strings.Contains(out, "crossings") || !strings.Contains(out, "steps/bound") {
 		t.Errorf("table missing aggregate headers:\n%s", out)
+	}
+}
+
+func TestButterflyBisectionConstructedMatchesBuiltPlan(t *testing.T) {
+	// Whether the report measures the plan on a built Bn (solver sizes) or
+	// evaluates it virtually (every larger size), the constructed row is
+	// the capacity of the plan's materialized cut.
+	for d := 2; d <= 17; d++ {
+		n := 1 << d
+		r, err := ButterflyBisection(n, BisectionBudget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := construct.BestPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := plan.Build(topology.NewButterfly(n)).Capacity(); r.Constructed != want {
+			t.Errorf("B%d: constructed %d, built plan cut %d", n, r.Constructed, want)
+		}
 	}
 }

@@ -172,7 +172,7 @@ func witnessFormula(kind ExpansionKind, d int) int {
 
 // ExpansionTableOptions tune the exact-certification pass of
 // ExpansionTable. The zero value reproduces the historical budget
-// (k ≤ 8, GOMAXPROCS workers) with the exact pass disabled until
+// (k ≤ 8, one worker per CPU) with the exact pass disabled until
 // ExactNodes is set.
 type ExpansionTableOptions struct {
 	// ExactNodes enables the exact engine on networks whose effective
@@ -182,7 +182,7 @@ type ExpansionTableOptions struct {
 	// parallel witness-seeded engine makes k = 10–12 reachable on small
 	// networks; see cmd/exptable's -kmax flag.
 	KMax int
-	// Workers is the exact engine's worker-pool size (0 = GOMAXPROCS).
+	// Workers is the exact engine's worker-pool size (0 = solve.Workers).
 	Workers int
 
 	// Ctx cancels the exact pass: interrupted searches report their best

@@ -19,7 +19,7 @@ import (
 type RoutingOptions struct {
 	// Trials is the number of independently seeded trials per row (≤0: 1).
 	Trials int
-	// Workers is the number of parallel trial workers (≤0: GOMAXPROCS).
+	// Workers is the number of parallel trial workers (≤0: solve.Workers).
 	Workers int
 
 	// Ctx cancels the simulation: the report covers only the trials that

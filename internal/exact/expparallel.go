@@ -1,7 +1,6 @@
 package exact
 
 import (
-	"runtime"
 	"sync"
 
 	"repro/internal/graph"
@@ -17,7 +16,7 @@ import (
 // happens on the hot path.
 
 // MinEdgeExpansionParallel computes EE(g,k) exactly on workers goroutines
-// (workers ≤ 0 means GOMAXPROCS). The optimum always equals
+// (workers ≤ 0 means solve.Workers). The optimum always equals
 // MinEdgeExpansion's; the witness set may differ when several are optimal.
 func MinEdgeExpansionParallel(g *graph.Graph, k, workers int) ([]int, int) {
 	set, val, _ := minExpansionParallel(g, k, -1, workers, edgeExpansion, noBound, nil)
@@ -110,9 +109,7 @@ func minExpansionParallel(g *graph.Graph, k, root, workers int, edge bool, bound
 // with whatever incumbents were found.
 func runExpansionSearches(g *graph.Graph, order []int32, searches []*expSearch, rootForced bool, workers int, mon *solve.Monitor) {
 	n := g.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = solve.Workers(workers)
 
 	// Depth 8 gives up to 256 subproblems per search — plenty of slack for
 	// load balancing without flooding memory with prefixes.

@@ -1,7 +1,6 @@
 package exact
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -36,9 +35,7 @@ func minBisectionParallelSearch(g *graph.Graph, workers, bound int, mon *solve.M
 		}
 		return minBisectionSearch(g, bound, mon) // not worth the fan-out
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = solve.Workers(workers)
 
 	// Depth 8 gives up to 256 subproblems — plenty of slack for load
 	// balancing without flooding memory with prefixes.

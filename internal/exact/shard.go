@@ -2,7 +2,6 @@ package exact
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -119,7 +118,7 @@ type ShardOutcome struct {
 }
 
 // SearchExpansionShards runs the prefix shards named by ids (indices into
-// the (g, spec) enumeration) on workers goroutines (≤0: GOMAXPROCS),
+// the (g, spec) enumeration) on workers goroutines (≤0: solve.Workers),
 // pruning against and recording into si. Out-of-range ids panic — they
 // mean the parties disagree about the search geometry, which would
 // silently miscertify. The search tree of each shard is explored exactly
@@ -156,9 +155,7 @@ func SearchExpansionShards(g *graph.Graph, spec ExpansionShardSpec, ids []int, w
 // runShardJobs is runExpansionSearches specialized to one search and an
 // explicit shard subset. It reports whether every shard ran to exhaustion.
 func runShardJobs(g *graph.Graph, order []int32, spec ExpansionShardSpec, prefixes [][]int8, ids []int, rootForced bool, workers int, si *ShardIncumbent, mon *solve.Monitor) bool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = solve.Workers(workers)
 	if workers > len(ids) && len(ids) > 0 {
 		workers = len(ids)
 	}

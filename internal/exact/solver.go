@@ -17,9 +17,9 @@ import (
 // Exact=false instead of silently presenting incumbents as optima.
 
 // SolveOptions tune the context-aware solvers. The zero value runs an
-// unseeded parallel search on GOMAXPROCS workers.
+// unseeded parallel search on one worker per CPU.
 type SolveOptions struct {
-	// Workers: 1 forces the serial engine, 0 (or <0) means GOMAXPROCS,
+	// Workers: 1 forces the serial engine, 0 (or <0) means solve.Workers,
 	// anything else sets the pool size.
 	Workers int
 	// Bound > 0 seeds the incumbent with a known achievable value (a

@@ -66,7 +66,7 @@ type SurveyOptions struct {
 // per-worker scratch state drains the subproblems of all k jointly. root ≥ 0
 // forces that node into every set (exact on vertex-transitive networks, an
 // upper bound elsewhere); root < 0 searches unrestricted. workers ≤ 0 means
-// GOMAXPROCS.
+// solve.Workers.
 func ExpansionSurvey(g *graph.Graph, ks []int, root, workers int) []SurveyResult {
 	return ExpansionSurveyWithOptions(g, ks, root, workers, SurveyOptions{})
 }

@@ -1,13 +1,13 @@
 package heuristic
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/cut"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/solve"
 )
 
 // Registry metrics of the multi-start search, published per BisectParallel
@@ -40,7 +40,7 @@ func BisectParallel(g *graph.Graph, opts BisectOptions) *cut.Cut {
 		span.End(nil)
 		return cut.FromSet(g, nil)
 	}
-	workers := runtime.GOMAXPROCS(0)
+	workers := solve.Workers(0)
 	if workers > opts.Starts {
 		workers = opts.Starts
 	}

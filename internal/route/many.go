@@ -3,7 +3,6 @@ package route
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,7 +102,7 @@ func ParseTrialKind(s string) (TrialKind, error) {
 type ManyOptions struct {
 	// Trials is the number of independently seeded trials (≤0: 1).
 	Trials int
-	// Workers is the number of worker goroutines (≤0: GOMAXPROCS).
+	// Workers is the number of worker goroutines (≤0: solve.Workers).
 	Workers int
 	// Seed is the base seed; trial t runs on TrialSeed(Seed, t), so the
 	// aggregate is reproducible at any worker count.
@@ -236,9 +235,7 @@ func SimulateMany(b *topology.Butterfly, ref *cut.Cut, kind TrialKind, opt ManyO
 		trials = 1
 	}
 	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = solve.Workers(workers)
 	if workers > trials {
 		workers = trials
 	}

@@ -198,9 +198,9 @@ func parseBisectionRequest(q queryValues) (queryRequest, error) {
 	}
 	switch r.network {
 	case "bn":
-		// Large sizes stay cheap: beyond the materialization budget the
-		// constructed row is verified by the word-parallel virtual
-		// evaluator, so million-column butterflies are servable.
+		// Large sizes stay cheap: beyond the solver budgets no graph is
+		// built and the constructed row is verified by the word-parallel
+		// virtual evaluator, so million-column butterflies are servable.
 		err = powerOfTwoInRange("n", r.n, 2, 1<<22)
 	case "wn":
 		err = powerOfTwoInRange("n", r.n, 4, 1<<14)

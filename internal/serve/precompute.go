@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/solve"
 )
 
 // metricPrecomputed counts grid points the precompute driver solved and
@@ -100,7 +100,7 @@ type PrecomputeResult struct {
 }
 
 // Precompute fills the configured store for every grid point not already
-// present, at the given worker parallelism (≤0: GOMAXPROCS), each solve
+// present, at the given worker parallelism (≤0: solve.Workers), each solve
 // under the server's MaxDeadline budget. Only complete solves are
 // stored — a truncated row could otherwise mask the full answer forever.
 // Cancelling ctx stops cleanly after the in-flight points; logf (may be
@@ -109,9 +109,7 @@ func (s *Server) Precompute(ctx context.Context, grid []GridPoint, workers int, 
 	if s.cfg.Store == nil {
 		return PrecomputeResult{}, fmt.Errorf("precompute: server has no store")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers = solve.Workers(workers)
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
 	}

@@ -26,12 +26,12 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/solve"
 	"repro/internal/store"
 )
 
@@ -95,11 +95,11 @@ func classifyOutcome(status int, source string, complete bool) string {
 	return "ok"
 }
 
-// Config tunes a Server. The zero value serves with GOMAXPROCS solve
+// Config tunes a Server. The zero value serves with one solve per CPU
 // workers, a 4×-deep wait queue, a 10s default / 60s maximum deadline and
 // a 256-entry result cache.
 type Config struct {
-	// MaxInflight bounds concurrently running solves (≤0: GOMAXPROCS).
+	// MaxInflight bounds concurrently running solves (≤0: solve.Workers).
 	MaxInflight int
 	// MaxQueue bounds requests waiting for a solve slot; past it the
 	// server answers 429 immediately (≤0: 4×MaxInflight).
@@ -137,9 +137,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = runtime.GOMAXPROCS(0)
-	}
+	c.MaxInflight = solve.Workers(c.MaxInflight)
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxInflight
 	}

@@ -20,6 +20,7 @@ package solve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +45,18 @@ var (
 // a millisecond on the measured engines while making the per-node
 // overhead unmeasurable (<1%).
 const TickStride = 4096
+
+// Workers resolves a solver pool size: a positive request as given,
+// otherwise the CPU count, or GOMAXPROCS if lower. A process that runs
+// with one P more than it has CPUs (butterflyd does, so net/http need not
+// wait behind a full set of solver goroutines) keeps that P free of
+// solver pools.
+func Workers(requested int) int {
+	if requested > 0 {
+		return requested
+	}
+	return min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
+}
 
 // Progress is a point-in-time snapshot of a running (or finished) solve.
 type Progress struct {

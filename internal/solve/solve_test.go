@@ -2,6 +2,7 @@ package solve
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -135,4 +136,23 @@ func TestCloseIdempotent(t *testing.T) {
 	m := Start(Options{Ctx: context.Background()})
 	m.Close()
 	m.Close()
+}
+
+func TestWorkersIgnoresASpareP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	if got := Workers(3); got != 3 {
+		t.Fatalf("Workers(3) = %d, want the request", got)
+	}
+	pool := Workers(0)
+	if want := min(runtime.NumCPU(), runtime.GOMAXPROCS(0)); pool != want {
+		t.Fatalf("Workers(0) = %d, want min(NumCPU, GOMAXPROCS) = %d", pool, want)
+	}
+	runtime.GOMAXPROCS(runtime.GOMAXPROCS(0) + 1)
+	if got := Workers(0); got != pool {
+		t.Fatalf("after raising GOMAXPROCS by one: Workers(0) = %d, want %d", got, pool)
+	}
+	runtime.GOMAXPROCS(1)
+	if got := Workers(0); got != 1 {
+		t.Fatalf("at GOMAXPROCS=1: Workers(0) = %d, want 1", got)
+	}
 }
